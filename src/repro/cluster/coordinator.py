@@ -16,15 +16,16 @@ Decision equivalence with a fused single broker, by construction:
   "``low > min(peak, local residual)`` on at least one shard" — the
   per-shard prepare check.
 * **mixed spanning paths** — the Figure-4 scan needs every
-  delay-based hop's deadline ledger, so the map must co-locate a
-  path's delay hops on one shard (the planner guarantees this for
-  pinned paths; other layouts are rejected as unsupported).  That
-  *scan owner* runs the real scan with the full path's profile; the
-  remaining (rate-based) shards verify the returned rate against
-  their residuals.  When both sides admit, the granted pair is
-  identical to the fused broker's (rate-cap monotonicity); when a
-  remote residual binds, the cluster errs rejecting — never
-  over-admitting.
+  delay-based hop's deadline ledger, wherever it lives.  The
+  coordinator asks each shard on the path for a plain-data ``view``
+  of its links, rebuilds the whole path from the views, and runs the
+  unmodified :meth:`~repro.core.admission.PerFlowAdmission.test` on
+  it — the fused broker's decision on the state the views captured.
+  It then prepares every shard with the chosen ``<r, d>``; each
+  re-checks its residuals and deadline ledgers, so a view that went
+  stale (another admission landed in between) can never over-commit
+  a link: the refused prepare aborts the transaction and the answer
+  is ``try-again``.
 
 The coordinator write-aheads its own protocol state (``cbegin`` ->
 ``cdecide`` -> ``cdone``); the fsync of ``cdecide`` is the atomic
@@ -44,8 +45,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.admission import _EPS
+from repro.core.admission import _EPS, AdmissionRequest, PerFlowAdmission
 from repro.core.broker import BandwidthBroker
+from repro.core.mibs import FlowMIB, LinkQoSState, NodeMIB, PathMIB, PathRecord
 from repro.errors import StateError, TopologyError
 from repro.service.durability import FileJournal
 from repro.traffic.spec import TSpec
@@ -60,6 +62,10 @@ __all__ = [
     "ClusterDecision",
     "CoordinatorRecovery",
 ]
+
+#: Prepare refusals that, after a stitched decision admitted the pair,
+#: can only mean the shard's state moved on since its view.
+_STALE_VIEW_REASONS = ("insufficient-bandwidth", "unschedulable")
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ class ClusterCoordinator:
     :param partition: the routing map; its stamp fences every frame.
     :param handles: shard name -> handle (:class:`~repro.cluster.
         remote.LocalShardHandle` or ``RemoteShardHandle``) exposing
-        ``admit/teardown/prepare/commit/abort/release/reap``.
+        ``admit/teardown/view/prepare/commit/abort/release/reap``.
     :param atlas: a broker provisioned with the **full** domain
         topology and pinned paths but carrying no reservations — the
         coordinator's static route/profile oracle.  It is never
@@ -256,33 +262,27 @@ class ClusterCoordinator:
         self.spanning_admits += 1
         shard_names = [shard for shard, _ in segments]
         txid = f"{self.name}-{next(self._seq):06d}"
-        profile = path.profile()
-        delay_owner = ""
-        for shard, pairs in segments:
-            if any(
-                self.atlas.node_mib.link(src, dst).kind
-                is SchedulerKind.DELAY_BASED
-                for src, dst in pairs
-            ):
-                if delay_owner and delay_owner != shard:
-                    return self._reject_unbegun(
-                        flow_id, nodes, shard_names, txid,
-                        "unsupported-layout",
-                        "delay-based hops span multiple shards; "
-                        "co-locate them via the partition plan",
-                    )
-                delay_owner = shard
+        mixed = path.rate_based_hops < path.hops
+        rate = 0.0
+        delay = 0.0
+        if mixed:
+            # The Figure-4 scan runs here, before anything is begun:
+            # a rejection or an unreachable shard leaves no trace.
+            verdict = self._stitched_decision(
+                flow_id, spec, delay_requirement, nodes, segments, txid,
+            )
+            if isinstance(verdict, ClusterDecision):
+                return verdict
+            rate, delay = verdict
         self._journal("cbegin", {
             "txid": txid, "flow_id": flow_id, "nodes": list(nodes),
             "shards": shard_names, "now": now,
         })
-        rate = 0.0
-        delay = 0.0
-        if not delay_owner:
+        if not mixed:
             # Rate-only: the grant is static — compute it here exactly
             # as the fused broker's rate-only test would.
             r_min = min_feasible_rate_rate_based(
-                spec, delay_requirement, profile
+                spec, delay_requirement, path.profile()
             )
             if math.isinf(r_min):
                 return self._abort_txn(
@@ -298,38 +298,23 @@ class ClusterCoordinator:
                     f"feasible range empty: need r in "
                     f"[{rate:.1f}, {spec.peak:.1f}] b/s",
                 )
-        # Prepare order: scan owner first (it chooses the pair the
-        # rest verify), then the remaining shards in name order.
-        order = [s for s in [delay_owner] if s]
-        order += sorted(s for s in shard_names if s != delay_owner)
         prepared: List[str] = []
         failure: Optional[ClusterDecision] = None
         by_name = dict(segments)
-        for shard in order:
-            frame: Dict[str, Any] = {
-                "txid": txid,
-                "flow_id": flow_id,
-                "links": [list(pair) for pair in by_name[shard]],
-                "spec": _spec_payload(spec),
-                "delay_requirement": delay_requirement,
-                "now": now,
-                "coordinator": self.name,
-                **self.partition.stamp(),
-            }
-            if shard == delay_owner:
-                frame["mode"] = "choose"
-                frame["profile"] = {
-                    "hops": profile.hops,
-                    "rate_based_hops": profile.rate_based_hops,
-                    "d_tot": profile.d_tot,
-                    "max_packet": profile.max_packet,
-                }
-            else:
-                frame["mode"] = "fixed"
-                frame["rate"] = rate
-                frame["delay"] = delay
+        for shard in sorted(shard_names):
             try:
-                reply = self.handles[shard].prepare(frame)
+                reply = self.handles[shard].prepare({
+                    "txid": txid,
+                    "flow_id": flow_id,
+                    "links": [list(pair) for pair in by_name[shard]],
+                    "spec": _spec_payload(spec),
+                    "delay_requirement": delay_requirement,
+                    "rate": rate,
+                    "delay": delay,
+                    "now": now,
+                    "coordinator": self.name,
+                    **self.partition.stamp(),
+                })
             except Exception as exc:  # participant unreachable/crashed
                 failure = ClusterDecision(
                     flow_id=flow_id, admitted=False, status="rejected",
@@ -339,18 +324,21 @@ class ClusterCoordinator:
                 )
                 break
             if reply.get("status") != "prepared":
+                reason = reply.get("reason", reply.get("error", ""))
+                detail = reply.get("detail", "")
+                if mixed and reason in _STALE_VIEW_REASONS:
+                    # The views said the pair fits; live state now
+                    # disagrees.  The flow was never judged on current
+                    # state, so the caller should simply retry.
+                    reason = "try-again"
+                    detail = f"view went stale before prepare: {detail}"
                 failure = ClusterDecision(
                     flow_id=flow_id, admitted=False, status="rejected",
                     path_nodes=nodes, shards=tuple(shard_names),
-                    txid=txid,
-                    reason=reply.get("reason", reply.get("error", "")),
-                    detail=reply.get("detail", ""),
+                    txid=txid, reason=reason, detail=detail,
                 )
                 break
             prepared.append(shard)
-            if shard == delay_owner:
-                rate = reply["rate"]
-                delay = reply["delay"]
         if failure is not None:
             self._abort_txn(
                 flow_id, nodes, shard_names, txid, prepared, now,
@@ -389,6 +377,46 @@ class ClusterCoordinator:
             rate=rate, delay=delay, path_nodes=nodes,
             shards=tuple(shard_names), txid=txid,
         )
+
+    def _stitched_decision(self, flow_id, spec, delay_requirement,
+                           nodes, segments, txid):
+        """The fused broker's decision on a mixed spanning path.
+
+        Gathers a ``view`` from every shard on the path, rebuilds the
+        path from them and runs the unmodified admissibility test.
+        Returns the granted ``(rate, delay)`` or a rejecting
+        :class:`ClusterDecision`.
+        """
+        shard_names = [shard for shard, _ in segments]
+        views: Dict[Tuple[str, str], Dict[str, Any]] = {}
+        for shard, pairs in segments:
+            try:
+                reply = self.handles[shard].view({
+                    "links": [list(pair) for pair in pairs],
+                    **self.partition.stamp(),
+                })
+            except Exception as exc:  # participant unreachable/crashed
+                return self._reject_unbegun(
+                    flow_id, nodes, shard_names, txid,
+                    "participant-unreachable",
+                    f"view on {shard!r} failed: {exc}",
+                )
+            if reply.get("status") != "ok":
+                return self._reject_unbegun(
+                    flow_id, nodes, shard_names, txid,
+                    reply.get("error", ""), reply.get("detail", ""),
+                )
+            views.update(zip(pairs, reply["links"]))
+        stack, virtual = _virtual_path(nodes, views)
+        decision = stack.test(
+            AdmissionRequest(flow_id, spec, delay_requirement), virtual,
+        )
+        if not decision.admitted:
+            return self._reject_unbegun(
+                flow_id, nodes, shard_names, txid,
+                decision.reason.value, decision.detail,
+            )
+        return decision.rate, decision.delay
 
     def _reject_unbegun(self, flow_id, nodes, shard_names, txid,
                         reason, detail) -> ClusterDecision:
@@ -769,6 +797,41 @@ class ClusterCoordinator:
             coordinator._registry = registry
         report.flows = len(registry)
         return coordinator, report
+
+
+def _virtual_path(nodes: Sequence[str],
+                  views: Mapping[Tuple[str, str], Dict[str, Any]]
+                  ) -> Tuple[PerFlowAdmission, PathRecord]:
+    """Rebuild the path *nodes* from shard views, with the reserved
+    state the views captured (reservation identities stay local).
+
+    Delay-based links replay each ledger entry (the schedulability
+    state); rate-based links need only the reserved total.
+    """
+    node_mib = NodeMIB()
+    links: List[LinkQoSState] = []
+    for pair in zip(nodes, nodes[1:]):
+        view = views[pair]
+        state = LinkQoSState(
+            pair, view["capacity"], SchedulerKind[view["kind"]],
+            error_term=view["error_term"],
+            propagation=view["propagation"],
+            max_packet=view["max_packet"],
+        )
+        if state.ledger is not None:
+            for index, (deadline, rate, packet) in enumerate(
+                view["ledger"]
+            ):
+                state.reserve(f"_snapshot{index}", rate,
+                              deadline=deadline, max_packet=packet)
+        elif view["reserved_rate"] > 0:
+            state.reserve("_snapshot", view["reserved_rate"])
+        node_mib.register_link(state)
+        links.append(state)
+    path = PathRecord("->".join(nodes), list(nodes), links)
+    path_mib = PathMIB()
+    path_mib.register(path)
+    return PerFlowAdmission(node_mib, FlowMIB(), path_mib), path
 
 
 def _txid_seq(txid: str, name: str) -> int:

@@ -439,6 +439,9 @@ class ReconnectingShardHandle:
     def teardown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         return self._call("teardown", frame)
 
+    def view(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        return self._call("view", frame)
+
     def prepare(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         return self._call("prepare", frame)
 
@@ -760,6 +763,10 @@ class ClusterServiceClient:
         detail = payload.get("detail") or ""
         if reason:
             detail = f"{reason}: {detail}" if detail else reason
+        if reason == RejectionReason.TRY_AGAIN.value:
+            # A 2PC the coordinator aborted without judging the flow
+            # (stale view, expired hold): retriable, like a shed.
+            status = "shed"
         if status in ("shed", "expired"):
             decision = AdmissionDecision(
                 admitted=False, flow_id=request.flow_id,

@@ -1,7 +1,8 @@
 """Shard handles: in-process and over the length-prefixed transport.
 
 The coordinator talks to shards through a uniform duck-typed handle —
-``admit/teardown/prepare/commit/abort/release/reap/status/stats/dump``
+``admit/teardown/view/prepare/commit/abort/release/reap/status/stats/
+dump``
 each taking a JSON-compatible frame and returning one.  Two
 implementations:
 
@@ -49,8 +50,8 @@ __all__ = [
 ]
 
 _OPS = (
-    "admit", "teardown", "prepare", "commit", "abort", "release",
-    "reap", "status", "stats", "dump",
+    "admit", "teardown", "view", "prepare", "commit", "abort",
+    "release", "reap", "status", "stats", "dump",
 )
 
 
@@ -65,6 +66,9 @@ class LocalShardHandle:
 
     def teardown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         return self.shard.teardown(frame)
+
+    def view(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        return self.shard.view(frame)
 
     def prepare(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         return self.shard.prepare(frame)
@@ -348,6 +352,9 @@ class RemoteShardHandle(RemoteOpClient):
 
     def teardown(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         return self._call("teardown", frame)
+
+    def view(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        return self._call("view", frame)
 
     def prepare(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         return self._call("prepare", frame)

@@ -7,8 +7,13 @@ front of it, and (optionally) a :class:`~repro.service.durability.
 FileJournal` WAL with a replica chain — and adds the **participant
 half** of the cross-shard admission protocol:
 
+``view``
+    A read-only, plain-data snapshot of some of this shard's links
+    (the coordinator stitches views into the virtual path it runs a
+    mixed path's Figure-4 scan on).
 ``prepare``
-    Places a *bandwidth hold* for a transaction on this shard's
+    Re-validates the coordinator's ``<r, d>`` against live state and
+    places a *bandwidth hold* for a transaction on this shard's
     segment of a spanning path: a plain link reservation under the
     key ``txn:<txid>``, so the eq.-6 / Figure-4 feasibility checks of
     concurrent admissions naturally see held + committed state
@@ -48,10 +53,10 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.admission import AdmissionDecision, PerFlowAdmission, _EPS
+from repro.core.admission import _EPS
 from repro.core.broker import BandwidthBroker
 from repro.core.journal import JournalEntry
-from repro.core.mibs import FlowRecord, LinkQoSState, PathRecord
+from repro.core.mibs import FlowRecord, LinkQoSState
 from repro.edge.leases import LeaseTable
 from repro.errors import StateError, TopologyError
 from repro.service.durability import (
@@ -62,10 +67,9 @@ from repro.service.durability import (
 )
 from repro.service.runtime import BrokerService
 from repro.traffic.spec import TSpec
-from repro.vtrs.delay_bounds import PathProfile
 from repro.vtrs.timestamps import SchedulerKind
 
-from repro.cluster.partition import PartitionMap
+from repro.cluster.partition import PartitionMap, link_id_str
 
 __all__ = [
     "BrokerShard",
@@ -306,9 +310,6 @@ class BrokerShard:
             default_timeout=default_timeout,
         )
         self.holds = LeaseTable(duration=hold_duration)
-        self._admission = PerFlowAdmission(
-            broker.node_mib, broker.flow_mib, broker.path_mib
-        )
         #: txid -> transaction dict (state machine: prepared ->
         #: committed | aborted; rejected is terminal from the start).
         self._txns: Dict[str, Dict[str, Any]] = {}
@@ -440,21 +441,51 @@ class BrokerShard:
 
     # -- 2PC participant ops --------------------------------------------
 
+    def view(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """Read-only snapshot of the requested links, as plain data.
+
+        Per link: capacity, scheduler kind, error term, propagation,
+        max packet, reserved rate, and (delay-based links) the
+        ``(deadline, rate, max_packet)`` ledger entries — everything
+        the coordinator needs to rebuild the link and run the fused
+        broker's Figure-4 scan over a path spanning several shards.
+        Reservation keys stay local.  Taken under the links' shard
+        locks, so each link is a consistent cut; the coordinator's
+        prepare re-validates, so the snapshot may go stale afterwards.
+        """
+        stale = self._stale(frame)
+        if stale is not None:
+            return stale
+        try:
+            links = _resolve_links(self.broker, frame["links"])
+        except TopologyError as exc:
+            return {
+                "status": "error", "error": "unknown-link",
+                "shard": self.name, "detail": str(exc),
+            }
+        with self.service.shards.locked(
+            self.service.shards.shards_for(links)
+        ):
+            snapshot = [{
+                "capacity": link.capacity,
+                "kind": link.kind.name,
+                "error_term": link.error_term,
+                "propagation": link.propagation,
+                "max_packet": link.max_packet,
+                "reserved_rate": link.reserved_rate,
+                "ledger": [
+                    [entry.deadline, entry.rate, entry.max_packet]
+                    for entry in link.ledger.iter_entries()
+                ] if link.ledger is not None else [],
+            } for link in links]
+        return {"status": "ok", "shard": self.name, "links": snapshot}
+
     def prepare(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Phase 1: journal + place a bandwidth hold for ``txid``.
 
-        ``mode`` selects the feasibility check:
-
-        * ``"fixed"`` — the coordinator computed the grant from the
-          full path's static profile (eq. 6); this shard verifies the
-          rate against its local residuals — exactly the
-          ``low > high`` arm of the fused broker's rate-only test,
-          distributed (min over shards of the local bound *is* the
-          path bound).
-        * ``"choose"`` — this shard owns every delay-based hop: it
-          runs the Figure-4 scan over a synthetic segment record
-          carrying the full path's profile, and returns the granted
-          ``(rate, delay)`` pair for the remaining shards to verify.
+        The frame carries the coordinator's ``(rate, delay)`` grant;
+        :meth:`_feasible` re-validates it against this shard's live
+        residuals and deadline ledgers.
 
         A rejected prepare mutates nothing and journals nothing; the
         verdict is cached so retries replay it.
@@ -538,35 +569,19 @@ class BrokerShard:
 
     def _feasible(self, frame: Dict[str, Any], spec: TSpec,
                   links: Sequence[LinkQoSState]):
-        """Local feasibility for one prepare; pair or reject reply."""
+        """Re-validate the coordinator's ``<r, d>``; pair or reject reply.
+
+        The residual check on every link is the ``low > high`` arm of
+        the fused broker's test restricted to this shard's links (the
+        min over shards of the local bound *is* the path bound); on
+        delay-based links the deadline ledger must also admit
+        ``(r, d)``.  On a mixed path the pair was chosen from views
+        that may be stale by now, so this check is what keeps a racing
+        admission from over-committing a link.
+        """
         txid = frame["txid"]
-        if frame.get("mode") == "choose":
-            profile = PathProfile(
-                hops=frame["profile"]["hops"],
-                rate_based_hops=frame["profile"]["rate_based_hops"],
-                d_tot=frame["profile"]["d_tot"],
-                max_packet=frame["profile"]["max_packet"],
-            )
-            nodes = [links[0].link_id[0]]
-            nodes += [link.link_id[1] for link in links]
-            segment = PathRecord(f"txn-seg:{txid}", nodes, links)
-            # The scan reads only profile constants, the local delay
-            # ledgers, and the local residual cap; installing the full
-            # path's profile makes the synthetic segment compute the
-            # fused broker's bounds (rate-cap monotonicity covers the
-            # remote residuals, which the other shards verify).
-            segment._profile = profile
-            result = self._admission.probe_min_rate_pair(
-                spec, frame["delay_requirement"], segment
-            )
-            if isinstance(result, AdmissionDecision):
-                return self._reject(
-                    txid,
-                    result.reason.value if result.reason else "rejected",
-                    result.detail,
-                )
-            return result
         rate = frame["rate"]
+        delay = frame.get("delay", 0.0)
         high = min(
             spec.peak, min(link.residual_rate for link in links)
         )
@@ -576,7 +591,17 @@ class BrokerShard:
                 f"feasible range empty: need r in "
                 f"[{rate:.1f}, {high:.1f}] b/s on shard {self.name!r}",
             )
-        return rate, frame.get("delay", 0.0)
+        for link in links:
+            if link.ledger is not None and not link.ledger.admissible(
+                rate, delay, spec.max_packet
+            ):
+                return self._reject(
+                    txid, "unschedulable",
+                    f"link {link_id_str(link.link_id)} on shard "
+                    f"{self.name!r} cannot schedule "
+                    f"(r={rate:.1f}, d={delay:.4f})",
+                )
+        return rate, delay
 
     def commit(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         """Phase 2: finalize a prepared hold into native flow state."""

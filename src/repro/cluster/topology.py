@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.broker import BandwidthBroker
 from repro.service.durability import FileJournal
+from repro.service.stats import _percentile
 from repro.traffic.spec import TSpec
 from repro.units import bytes_, mbps
 from repro.vtrs.timestamps import SchedulerKind
@@ -260,11 +261,11 @@ def build_pod_cluster(
     :param pods: number of pod chains (default: one per shard).  The
         workload shape is a function of *pods* alone, so comparing
         shard counts at fixed *pods* varies only the partitioning.
-    :param delay_hops: trailing delay-based hops per pod chain; the
-        planner co-locates each pod on one shard, so spanning paths
-        keep their delay hops on the egress pod's shard only when the
-        *ingress* pod is delay-free — mixed spanning layouts beyond
-        that are the coordinator's unsupported-layout rejection.
+    :param delay_hops: trailing delay-based hops per pod chain.  The
+        planner puts each pod on one shard, so with ``delay_hops > 0``
+        a spanning path has delay-based hops on both of its pods'
+        shards; the coordinator admits it from stitched shard views
+        (the fused broker's Figure-4 decision) before its 2PC.
     """
     domain = plan_pod_domain(
         num_shards,
@@ -350,11 +351,7 @@ class ClusterLoadReport:
 
     def latency_ms(self, fraction: float) -> float:
         """Nearest-rank latency percentile over all admits, ms."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
-        return ordered[rank] * 1000.0
+        return _percentile(sorted(self.latencies), fraction) * 1000.0
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -36,7 +36,7 @@ from repro.core.aggregate import (
 )
 from repro.core.broker import BandwidthBroker
 from repro.core.dimensioning import buffer_requirements
-from repro.core.journal import DecisionJournal, JournaledBroker, replay
+from repro.core.journal import replay
 from repro.core.mibs import FlowMIB, LinkQoSState, NodeMIB, PathMIB, PathRecord
 from repro.core.persistence import checkpoint_broker, restore_broker
 from repro.core.policy import PolicyModule, PolicyRule
@@ -66,8 +66,6 @@ __all__ = [
     "HoeffdingAdmission",
     "checkpoint_broker",
     "restore_broker",
-    "DecisionJournal",
-    "JournaledBroker",
     "replay",
     "buffer_requirements",
 ]

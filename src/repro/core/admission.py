@@ -351,23 +351,6 @@ class PerFlowAdmission:
             link.release(flow_id)
         return record
 
-    def probe_min_rate_pair(
-        self, spec: TSpec, delay_requirement: float, path: PathRecord
-    ):
-        """Public Figure-4 probe: minimal feasible ``<r, d>`` on *path*.
-
-        Side-effect-free with respect to reservations — only the scan
-        counters on *path* advance.  Exists for callers that run the
-        mixed-path scan against a *segment* of a longer path (the
-        cluster's cross-shard prepare phase hands the scan-owner shard
-        a synthetic :class:`PathRecord` over its local links with the
-        full path's profile installed): the returned pair is what a
-        fused broker would grant, by the rate-cap monotonicity of the
-        scan.  Returns ``(rate, delay)`` or a rejecting
-        :class:`AdmissionDecision` with a blank flow id.
-        """
-        return self._find_min_rate_pair(spec, delay_requirement, path)
-
     # ------------------------------------------------------------------
     # Section 3.1 — rate-based-only path, O(1)
     # ------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Broker decision journal: audit trail + exact failover replay.
+"""Broker decision journal format: audit trail + exact failover replay.
 
 Checkpoints (:mod:`repro.core.persistence`) alone leave a gap: every
-request handled after the last checkpoint is lost on failover. The
-:class:`DecisionJournal` closes it — it records the *inputs* of every
-control operation (service requests, terminations, time advances) in
-arrival order, so a standby can
+request handled after the last checkpoint is lost on failover.  A
+decision journal closes it — it records the *inputs* of every control
+operation (service requests, terminations, time advances) in arrival
+order, so a standby can
 
 1. restore the latest checkpoint, then
 2. :func:`replay` the journal suffix recorded after it,
@@ -12,15 +12,16 @@ arrival order, so a standby can
 and arrive at the primary's exact state: because every admission
 decision is a deterministic function of broker state and request
 inputs, replaying inputs reproduces decisions (verified by tests).
-Entries are JSON-compatible, so the journal can be shipped over any
-transport or appended to a file.
+This module defines the record (:class:`JournalEntry`), the request
+payload every writer uses (:func:`request_payload`) and the replayer;
+the journal itself is the durable, file-backed
+:class:`~repro.service.durability.FileJournal`.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.errors import StateError
 from repro.core.broker import BandwidthBroker
@@ -28,8 +29,6 @@ from repro.traffic.spec import TSpec
 
 __all__ = [
     "JournalEntry",
-    "DecisionJournal",
-    "JournaledBroker",
     "replay",
     "request_payload",
 ]
@@ -41,9 +40,8 @@ def request_payload(flow_id: str, spec: TSpec, delay_requirement: float,
                     now: float = 0.0) -> Dict[str, Any]:
     """The JSON-compatible journal payload of one service request.
 
-    Shared by every write path (the in-memory :class:`JournaledBroker`
-    and the file-backed service WAL) so :func:`replay` reads one
-    format.
+    The service runtime writes it into the WAL and :func:`replay`
+    reads it back, so both sides share one format.
     """
     return {
         "flow_id": flow_id,
@@ -92,80 +90,6 @@ class JournalEntry:
             seq=data["seq"], kind=data["kind"], payload=data["payload"],
             epoch=int(data.get("epoch", 0)),
         )
-
-
-class DecisionJournal:
-    """Append-only, sequence-numbered operation log."""
-
-    def __init__(self) -> None:
-        self._entries: List[JournalEntry] = []
-        self._seq = itertools.count(1)
-
-    def append(self, kind: str, payload: Dict[str, Any]) -> JournalEntry:
-        """Record one operation."""
-        entry = JournalEntry(seq=next(self._seq), kind=kind,
-                             payload=payload)
-        self._entries.append(entry)
-        return entry
-
-    @property
-    def position(self) -> int:
-        """Sequence number of the latest entry (0 when empty)."""
-        return self._entries[-1].seq if self._entries else 0
-
-    def entries_after(self, seq: int) -> List[JournalEntry]:
-        """All entries recorded after sequence number *seq*."""
-        return [entry for entry in self._entries if entry.seq > seq]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-
-class JournaledBroker:
-    """A broker facade that journals every control operation.
-
-    Exposes the same three control calls as
-    :class:`~repro.core.broker.BandwidthBroker` (``request_service``,
-    ``terminate``, ``advance``) and records each *before* executing it
-    — write-ahead, so a crash mid-operation is replayed rather than
-    lost.
-    """
-
-    def __init__(self, broker: BandwidthBroker,
-                 journal: Optional[DecisionJournal] = None) -> None:
-        self.broker = broker
-        self.journal = journal or DecisionJournal()
-
-    def request_service(self, flow_id: str, spec: TSpec,
-                        delay_requirement: float, ingress: str,
-                        egress: str, *, service_class: str = "",
-                        path_nodes=None, now: float = 0.0):
-        """Journal + execute a service request."""
-        self.journal.append(
-            "request",
-            request_payload(
-                flow_id, spec, delay_requirement, ingress, egress,
-                service_class=service_class, path_nodes=path_nodes,
-                now=now,
-            ),
-        )
-        return self.broker.request_service(
-            flow_id, spec, delay_requirement, ingress, egress,
-            service_class=service_class, path_nodes=path_nodes, now=now,
-        )
-
-    def terminate(self, flow_id: str, *, now: float = 0.0) -> None:
-        """Journal + execute a flow termination."""
-        self.journal.append("terminate", {"flow_id": flow_id, "now": now})
-        self.broker.terminate(flow_id, now=now)
-
-    def advance(self, now: float) -> int:
-        """Journal + execute a contingency-timer advance."""
-        self.journal.append("advance", {"now": now})
-        return self.broker.advance(now)
 
 
 def replay(broker: BandwidthBroker,

@@ -1,11 +1,11 @@
 """Durable write-ahead journaling and crash recovery for the broker.
 
 The paper's footnote 2 names broker reliability as the price of
-centralizing a domain's QoS state.  :mod:`repro.core.journal` already
-gives the *logical* half of the answer — every control operation is a
+centralizing a domain's QoS state.  :mod:`repro.core.journal` gives
+the *logical* half of the answer — every control operation is a
 deterministic function of broker state and request inputs, so a log of
-inputs replays to identical decisions — but its journal lives in
-memory and dies with the process.  This module is the *physical* half:
+inputs replays to identical decisions.  This module is the *physical*
+half, the log itself:
 
 * :class:`FileJournal` — an append-only, file-backed journal of
   length-prefixed, CRC-checksummed JSON records with **segment

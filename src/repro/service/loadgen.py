@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.broker import BandwidthBroker
 from repro.service.runtime import BrokerService, ServiceReply
-from repro.service.stats import ServiceStats
+from repro.service.stats import ServiceStats, _percentile
 from repro.traffic.spec import TSpec
 from repro.units import bytes_, mbps
 from repro.vtrs.timestamps import SchedulerKind
@@ -72,11 +72,7 @@ class LoadReport:
 
     def latency_ms(self, fraction: float) -> float:
         """Nearest-rank latency percentile over all replies, ms."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
-        return ordered[rank] * 1000.0
+        return _percentile(sorted(self.latencies), fraction) * 1000.0
 
     def as_dict(self) -> Dict[str, object]:
         data = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Tuple
+from typing import Deque, Dict, Sequence, Tuple
 
 __all__ = [
     "ServiceStats",
@@ -33,7 +33,7 @@ __all__ = [
 SAMPLE_WINDOW = 4096
 
 
-def _percentile(ordered: Tuple[float, ...], fraction: float) -> float:
+def _percentile(ordered: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of an already-sorted sample."""
     if not ordered:
         return 0.0

@@ -7,9 +7,9 @@ central claims:
 * **decision equivalence** — for rate-only spanning paths the cluster
   admits exactly the flows a fused single broker admits, with the
   identical granted rate (eq. 6 is static; feasibility distributes as
-  a min over shards).  For mixed paths whose delay hops are
-  co-located, an admitted flow's ``(rate, delay)`` pair equals the
-  fused broker's;
+  a min over shards).  For mixed paths, co-located or with delay hops
+  split across shards, the stitched views give the fused broker's
+  ``(rate, delay)`` pair;
 * **all-or-nothing** — a prepare rejection on any shard releases
   every hold already placed (no stranded capacity, no partial admit);
 * **idempotency** — every phase answers retries with the cached
@@ -24,6 +24,7 @@ import pytest
 
 from repro.cluster import (
     ClusterCoordinator,
+    ClusterServiceClient,
     LocalShardHandle,
     PartitionMap,
     RemoteShardHandle,
@@ -31,6 +32,7 @@ from repro.cluster import (
     build_pod_cluster,
 )
 from repro.cluster.shard import BrokerShard, _spec_payload
+from repro.core.admission import RejectionReason
 from repro.core.broker import BandwidthBroker
 from repro.errors import SignalingError
 from repro.service.transport import TcpListener, connect_tcp, pipe_pair
@@ -243,38 +245,80 @@ class TestSpanningMixed:
             assert decision.delay == pytest.approx(
                 expect.delay, abs=1e-12
             )
-            assert shards["s1"].prepares > 0  # the scan owner ran
+            assert shards["s1"].prepares > 0
 
-    def test_split_delay_hops_rejected_as_unsupported(self):
-        # Force delay hops onto both shards of a spanning path: the
-        # coordinator must reject before touching any shard.
+    def test_split_delay_hops_match_fused_oracle(self):
+        # Delay hops on both shards of a spanning path: the stitched
+        # views give the fused broker's pair, flow for flow, through
+        # saturation.
         pmap = PartitionMap(["s0", "s1"])
         pmap.assign(("a", "b"), "s0")
         pmap.assign(("b", "c"), "s1")
         atlas = BandwidthBroker()
-        atlas.add_link("a", "b", mbps(10), SchedulerKind.DELAY_BASED,
-                       max_packet=12000)
-        atlas.add_link("b", "c", mbps(10), SchedulerKind.DELAY_BASED,
-                       max_packet=12000)
-        atlas.routing.pin_path(("a", "b", "c"))
+        oracle = BandwidthBroker()
         shards = {}
         for name, (src, dst) in (("s0", ("a", "b")), ("s1", ("b", "c"))):
             broker = BandwidthBroker()
-            broker.add_link(src, dst, mbps(10),
-                            SchedulerKind.DELAY_BASED, max_packet=12000)
+            for target in (atlas, oracle, broker):
+                target.add_link(src, dst, mbps(10),
+                                SchedulerKind.DELAY_BASED,
+                                max_packet=12000)
             shards[name] = BrokerShard(name, broker, pmap)
+        for target in (atlas, oracle):
+            target.routing.pin_path(("a", "b", "c"))
         coordinator = ClusterCoordinator(
             pmap,
             {n: LocalShardHandle(s) for n, s in shards.items()},
             atlas,
         )
-        decision = coordinator.admit(
-            "f1", SPEC, D_REQ, "a", "c", path_nodes=("a", "b", "c")
-        )
-        assert not decision.admitted
-        assert decision.reason == "unsupported-layout"
+        nodes = ("a", "b", "c")
+        for index in range(400):
+            flow_id = f"f{index}"
+            expect = oracle.request_service(
+                flow_id, SPEC, D_REQ, "a", "c", path_nodes=nodes
+            )
+            decision = coordinator.admit(
+                flow_id, SPEC, D_REQ, "a", "c", path_nodes=nodes
+            )
+            assert decision.admitted == expect.admitted, index
+            if not expect.admitted:
+                assert decision.reason == expect.reason.value
+                break
+            assert decision.rate == pytest.approx(expect.rate, abs=1e-9)
+            assert decision.delay == pytest.approx(
+                expect.delay, abs=1e-9
+            )
+        else:
+            pytest.fail("path never saturated")
+        assert index > 0
         for shard in shards.values():
-            assert shard.prepares == 0
+            assert not any(
+                key.startswith("txn:")
+                for link in shard.broker.node_mib.links()
+                for key in link.reservation_keys()
+            )
+
+
+class TestGatewayWorkerReplies:
+    def test_coordinator_try_again_is_a_shed_reply(self):
+        # A 2PC the coordinator aborted without judging the flow must
+        # reach the edge as retriable (gateway TRY_AGAIN, REST 429),
+        # not as a final rejection.
+        class Coordinator:
+            def admit(self, frame):
+                return {
+                    "status": "rejected", "admitted": False,
+                    "reason": "try-again",
+                    "detail": "view went stale before prepare",
+                }
+
+        client = ClusterServiceClient(lambda: Coordinator(), workers=1)
+        try:
+            reply = client.request("f1", SPEC, D_REQ, "I0", "E1")
+        finally:
+            client.stop()
+        assert reply.status == "shed" and reply.try_again
+        assert reply.decision.reason is RejectionReason.TRY_AGAIN
 
 
 class TestIdempotency:
@@ -287,7 +331,7 @@ class TestIdempotency:
             "links": [list(p) for p in by_name["shard0"]],
             "spec": _spec_payload(SPEC),
             "delay_requirement": D_REQ,
-            "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
+            "rate": SPEC.rho, "delay": 0.0,
             "now": 0.0, **duo.partition.stamp(),
         }
 
@@ -345,7 +389,7 @@ class TestHoldExpiry:
                           if cluster.partition.shard_of(l) == "shard0"],
                 "spec": _spec_payload(SPEC),
                 "delay_requirement": D_REQ,
-                "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
+                "rate": SPEC.rho, "delay": 0.0,
                 "now": 100.0, **cluster.partition.stamp(),
             }
             assert shard.prepare(frame)["status"] == "prepared"
@@ -389,6 +433,35 @@ class TestRemoteHandles:
         finally:
             handle.close()
             server.close()
+
+    def test_view_over_pipe_transport(self):
+        # Views cross the wire intact: the remote answer equals the
+        # in-process one, ledger entries included.
+        cluster = build_pod_cluster(2, delay_hops=1)
+        with cluster:
+            nodes = cluster.pod_paths[0]
+            assert cluster.coordinator.admit(
+                "f1", SPEC, D_REQ, nodes[0], nodes[-1], path_nodes=nodes,
+            ).admitted
+            shard = cluster.shards["shard0"]
+            frame = {
+                "links": [list(pair) for pair in zip(nodes, nodes[1:])],
+                **cluster.partition.stamp(),
+            }
+            client, server_end = pipe_pair()
+            server = ShardServer(shard)
+            server.serve_connection(server_end)
+            handle = RemoteShardHandle(client, timeout=2.0)
+            try:
+                remote = handle.view(frame)
+            finally:
+                handle.close()
+                server.close()
+            local = LocalShardHandle(shard).view(frame)
+            assert remote["links"] == local["links"]
+            assert [len(view["ledger"]) for view in local["links"]] == [
+                0, 0, 1,
+            ]
 
     def test_unknown_op_and_dead_transport(self, duo):
         client, server_end = pipe_pair()

@@ -10,10 +10,13 @@ flows — zero double-admits, zero stranded holds.
 Each scenario in :class:`TestDifferentialConsistency` drives the same
 mixed single-shard/spanning workload against a 2-shard pod cluster
 with one fault injected at a chosen 2PC point, then runs the
-differential check.  The remaining classes cover the recovery
-machinery directly: shard journal replay, prepared-hold resurrection,
-checkpoint hold-quiescence, replica chains shipping cluster records,
-and promotion of a shard directory.
+differential check; :class:`TestDifferentialConsistencySplitDelay`
+re-runs every scenario with one delay-based hop per pod, so the
+spanning path's delay hops sit on both shards and each admission
+gathers shard views before it prepares.  The remaining classes cover
+the recovery machinery directly: shard journal replay, prepared-hold
+resurrection, checkpoint hold-quiescence, replica chains shipping
+cluster records, and promotion of a shard directory.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ D_REQ = 2.44
 SHARDS = 2
 
 
-def fresh_twin():
+def fresh_twin(delay_hops=0):
     """A pristine cluster with the same deterministic layout."""
-    return build_pod_cluster(SHARDS)
+    return build_pod_cluster(SHARDS, delay_hops=delay_hops)
 
 
 class FaultyHandle:
@@ -136,12 +139,12 @@ def run_workload(cluster):
     return surviving
 
 
-def recover_cluster(root, partition, *, now=1000.0):
+def recover_cluster(root, partition, *, now=1000.0, delay_hops=0):
     """Recover every shard + the coordinator from *root* on disk."""
     shards = {}
     for name in partition.shards:
         def factory(name=name):
-            return fresh_twin().shards[name].broker
+            return fresh_twin(delay_hops).shards[name].broker
 
         shards[name] = recover_shard(
             os.path.join(root, name),
@@ -154,12 +157,13 @@ def recover_cluster(root, partition, *, now=1000.0):
     }
     coordinator, report = ClusterCoordinator.recover(
         os.path.join(root, "coordinator"),
-        partition, handles, fresh_twin().atlas, now=now, fsync=False,
+        partition, handles, fresh_twin(delay_hops).atlas, now=now,
+        fsync=False,
     )
     return shards, coordinator, report
 
 
-def assert_matches_oracle(shards, coordinator, surviving):
+def assert_matches_oracle(shards, coordinator, surviving, delay_hops=0):
     """The differential check: recovered union == fused oracle.
 
     Thin wrapper over :func:`repro.soak.audit.audit_recovered_shards`
@@ -169,7 +173,7 @@ def assert_matches_oracle(shards, coordinator, surviving):
     """
     report = audit_recovered_shards(
         shards, coordinator, dict(surviving), SPEC, D_REQ,
-        fresh_twin().atlas,
+        fresh_twin(delay_hops).atlas,
     )
     assert report.ok, report.summary() + "".join(
         f"\n  {f.kind}: {f.subject}: {f.detail}"
@@ -178,13 +182,19 @@ def assert_matches_oracle(shards, coordinator, surviving):
 
 
 class TestDifferentialConsistency:
+    #: Trailing delay-based hops per pod chain.
+    DELAY_HOPS = 0
+
     def run_scenario(self, tmp_path, inject, *, expect=None):
         """Common harness: workload, one faulty spanning admit, crash,
         recover, differential check.  ``inject(cluster)`` arms the
         fault and returns the expected post-recovery fate of the
         faulty flow (``"committed"`` / ``"gone"``)."""
         root = str(tmp_path)
-        cluster = build_pod_cluster(SHARDS, wal_root=root, fsync=False)
+        cluster = build_pod_cluster(
+            SHARDS, wal_root=root, fsync=False,
+            delay_hops=self.DELAY_HOPS,
+        )
         partition = cluster.partition
         with cluster:
             surviving = run_workload(cluster)
@@ -201,14 +211,18 @@ class TestDifferentialConsistency:
                 surviving["span-x"] = span
             if expect is not None:
                 expect(decision)
-        shards, coordinator, report = recover_cluster(root, partition)
-        assert_matches_oracle(shards, coordinator, surviving)
+        shards, coordinator, report = recover_cluster(
+            root, partition, delay_hops=self.DELAY_HOPS,
+        )
+        assert_matches_oracle(
+            shards, coordinator, surviving, self.DELAY_HOPS,
+        )
         return report
 
     def test_participant_crash_before_first_prepare(self, tmp_path):
         def inject(cluster):
-            # shard0 is first in the rate-only prepare order: no hold
-            # is ever placed anywhere.
+            # shard0 is first in the prepare order: no hold is ever
+            # placed anywhere.
             cluster.coordinator.handles["shard0"] = FaultyHandle(
                 cluster.coordinator.handles["shard0"], "prepare"
             )
@@ -319,6 +333,31 @@ class TestDifferentialConsistency:
         assert len(report.compensated) == 1
 
 
+class TestDifferentialConsistencySplitDelay(TestDifferentialConsistency):
+    DELAY_HOPS = 1
+
+    def test_participant_crash_on_view(self, tmp_path):
+        def inject(cluster):
+            # shard1 dies answering the view: the coordinator has not
+            # begun the transaction, so nothing is held or in doubt.
+            cluster.coordinator.handles["shard1"] = FaultyHandle(
+                cluster.coordinator.handles["shard1"], "view"
+            )
+            return "gone"
+
+        def expect(decision):
+            assert decision is not None and not decision.admitted
+            assert decision.reason == "participant-unreachable"
+            assert self._cluster.outstanding_holds() == []
+
+        def arm(cluster):
+            self._cluster = cluster
+            return inject(cluster)
+
+        report = self.run_scenario(tmp_path, arm, expect=expect)
+        assert (report.aborted, report.in_doubt) == ([], [])
+
+
 class TestShardRecovery:
     def test_replay_rebuilds_live_state(self, tmp_path):
         root = str(tmp_path)
@@ -371,7 +410,7 @@ class TestShardRecovery:
         frame = {
             "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
             "spec": _spec_payload(SPEC), "delay_requirement": D_REQ,
-            "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
+            "rate": SPEC.rho, "delay": 0.0,
             "now": 0.0, **pmap.stamp(),
         }
         assert shard.prepare(frame)["status"] == "prepared"
@@ -401,7 +440,7 @@ class TestShardRecovery:
         frame = {
             "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
             "spec": _spec_payload(SPEC), "delay_requirement": D_REQ,
-            "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
+            "rate": SPEC.rho, "delay": 0.0,
             "now": 0.0, **pmap.stamp(),
         }
         shard.prepare(frame)
@@ -449,7 +488,7 @@ class TestReplicaChain:
                 "links": [["a", "b"]],
                 "spec": _spec_payload(SPEC),
                 "delay_requirement": D_REQ,
-                "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
+                "rate": SPEC.rho, "delay": 0.0,
                 "now": 0.0, **pmap.stamp(),
             }
             assert shard.prepare(frame)["status"] == "prepared"
@@ -476,7 +515,7 @@ class TestReplicaChain:
         frame = {
             "txid": "tx-1", "flow_id": "f1", "links": [["a", "b"]],
             "spec": _spec_payload(SPEC), "delay_requirement": D_REQ,
-            "mode": "fixed", "rate": SPEC.rho, "delay": 0.0,
+            "rate": SPEC.rho, "delay": 0.0,
             "now": 0.0, **pmap.stamp(),
         }
         shard.prepare(frame)

@@ -164,7 +164,9 @@ class TestBackpressure:
         with BrokerService(broker, workers=1, shards=2, batch_limit=1,
                            default_timeout=0.001,
                            edge_rtt=0.05) as service:
-            first = service.submit(admit_request("first"))
+            # The first request only occupies the worker for edge_rtt;
+            # its own timeout keeps a slow dequeue from expiring it.
+            first = service.submit(admit_request("first", timeout=5.0))
             second = service.submit(admit_request("second"))
             assert first.wait(5.0).status == OK
             assert second.wait(5.0).status == EXPIRED
